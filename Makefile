@@ -60,19 +60,19 @@ bench-check:
 	$(GO) test -run '^$$' -bench 'EnvInspected|LegacyInspected' -benchmem ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -check BENCH_env.json -tolerance 0.25
 
-# bench-serve runs the serving-throughput benchmarks (decision-wave path
-# vs the mutex-per-request baseline at 1/64/512 concurrent clients) and
-# archives the parsed results — decisions/s, p99 latency, ns/op — in
-# BENCH_serve.json.
+# bench-serve runs the serving-throughput benchmarks (/v1/inspect through
+# the handler at 1/64/512 concurrent clients) and archives the parsed
+# results — decisions/s, p99 latency, ns/op, with the GOMAXPROCS they ran
+# at — in BENCH_serve.json.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex' -benchmem ./internal/serve/ \
+	$(GO) test -run '^$$' -bench '^BenchmarkInspectC' -benchmem ./internal/serve/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json
 
 # bench-serve-check reruns the serving benchmarks against the committed
 # BENCH_serve.json baseline (advisory in CI: serving throughput is noisy on
 # shared runners, so regressions warn rather than gate).
 bench-serve-check:
-	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex' -benchmem ./internal/serve/ \
+	$(GO) test -run '^$$' -bench '^BenchmarkInspectC' -benchmem ./internal/serve/ \
 		| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 0.25
 
 # bench-fleet runs the fleet-plane benchmarks (exposition parse, full
@@ -89,8 +89,8 @@ bench-fleet-check:
 		| $(GO) run ./cmd/benchjson -check BENCH_fleet.json -tolerance 0.25
 
 # equiv runs the golden equivalence suites that pin the Env/wave engines to
-# the verbatim seed implementations — the batched serving path to the
-# scalar Explain kernel — and the distributed engine's replicas to the
+# the verbatim seed implementations — /v1/inspect responses to the scalar
+# Explain kernel — and the distributed engine's replicas to the
 # single-process trainer — bit for bit, under the race detector.
 equiv:
 	$(GO) test -race -run 'Equiv' -count=1 ./internal/sim/ ./internal/core/ ./internal/serve/ ./internal/dist/
@@ -222,5 +222,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFTrace$$' -fuzztime $(FUZZTIME) ./internal/explain/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzInspectBody$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 verify: build vet fmt-check race test

@@ -7,9 +7,8 @@
 // Endpoints:
 //
 //	POST /v1/inspect      — scheduling context in, {reject, reject_prob} out
-//	                        (concurrent requests coalesce into decision
-//	                        waves answered by one batched forward; tune
-//	                        with -max-wave / -wave-timeout)
+//	                        (one sampled verdict per request, decided under
+//	                        a single decision lock shared with model swaps)
 //	POST /v1/admin/reload — atomically hot-swap the model from disk
 //	GET  /v1/info         — served model description
 //	GET  /healthz         — alias of /v1/info
@@ -78,8 +77,6 @@ func main() {
 		procEvery  = flag.Duration("proc-interval", 30*time.Second, "runtime self-profiling snapshot interval (0 disables)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		drainFor   = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
-		maxWave    = flag.Int("max-wave", serve.DefaultMaxWave, "max /v1/inspect decisions coalesced into one batched forward")
-		waveWait   = flag.Duration("wave-timeout", 0, "how long the collector waits for stragglers to fill a decision wave (0 = forward immediately)")
 
 		onlineOn        = flag.Bool("online", false, "enable the online continual-learning loop (tail decisions, retrain, shadow-evaluate, promote)")
 		onlineInterval  = flag.Duration("online-interval", 30*time.Second, "online loop cycle interval")
@@ -96,19 +93,19 @@ func main() {
 	// seed makes a run reproducible even when it was time-derived.
 	log.Printf("inspectord: decision-sampling seed %d", *seed)
 	// One sampling stream for the process lifetime: reloaded models keep
-	// drawing from it (on the handler's collector goroutine, the sole owner
-	// of the served model), so a hot-swap does not rewind the decision
+	// drawing from it (under the handler's decision lock, which every
+	// served decision holds), so a hot-swap does not rewind the decision
 	// sequence. This is safe only because loading never draws from the
 	// stream (LoadServable wires the networks in via rl.AgentFromNets, no
-	// fresh initialization) — the reload path runs off the serving path,
-	// and every actual draw happens on the collector.
+	// fresh initialization) — the reload path runs off the decision lock,
+	// and every actual draw happens under it.
 	rng := rand.New(rand.NewSource(*seed))
 	load := func() (*core.Inspector, error) { return core.LoadServable(*model, rng) }
 	insp, err := load()
 	if err != nil {
 		log.Fatalf("inspectord: %v", err)
 	}
-	h := serve.NewHandlerOptions(insp, serve.Options{MaxWave: *maxWave, WaveTimeout: *waveWait})
+	h := serve.NewHandler(insp)
 	h.SetReloader(load)
 
 	// SIGHUP hot-swaps the model from disk, mirroring /v1/admin/reload.
@@ -229,11 +226,11 @@ func main() {
 			log.Printf("inspectord: %v", err)
 		}
 		// Stop the online loop (cancelling any in-flight retrain) before
-		// tearing down the decision-wave collector it promotes through.
+		// closing the handler it promotes through.
 		if stopOnline != nil {
 			stopOnline()
 		}
-		// The HTTP server has drained; stop the decision-wave collector.
+		// The HTTP server has drained; refuse any later decision.
 		h.Close()
 		log.Printf("inspectord: stopped")
 	}

@@ -58,8 +58,6 @@ type FleetDist struct {
 // counters a windowed rate; histograms windowed p50/p99.
 var (
 	statusGauges = []string{
-		"schedinspector_inspect_queue_depth",
-		"schedinspector_inspect_queue_capacity",
 		"schedinspector_inspect_reject_ratio",
 		"schedinspector_model_generation",
 		"schedinspector_online_state",

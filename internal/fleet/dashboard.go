@@ -40,7 +40,7 @@ const dashboardHTML = `<!doctype html>
 <section><h2>targets</h2>
 <table><thead><tr>
   <th>target</th><th>kind</th><th>state</th><th>decisions/s</th><th>epochs/s</th>
-  <th>coalesce p99</th><th>exchange p99</th><th>queue</th><th>gen</th><th>detail</th>
+  <th>lock wait p99</th><th>exchange p99</th><th>gen</th><th>detail</th>
 </tr></thead><tbody id="targets"></tbody></table></section>
 
 <section><h2>dist</h2><div id="dist" class="none">no train workers</div></section>
@@ -81,8 +81,6 @@ function render(fs) {
   const tb = $("targets"); tb.innerHTML = "";
   for (const t of fs.targets || []) {
     const q = t.quantiles || {}, r = t.rates || {}, l = t.latest || {};
-    const depth = l["schedinspector_inspect_queue_depth"], cap = l["schedinspector_inspect_queue_capacity"];
-    const queue = (depth !== undefined && cap) ? num(depth, 0) + "/" + num(cap, 0) : "–";
     const state = t.up ? '<span class="up">up</span>' : '<span class="down">DOWN</span>';
     const detail = t.up ? ago(fs.now_unix, t.last_scrape_unix) + " ago, " + t.points + " pts"
                         : esc(t.last_error || "");
@@ -92,11 +90,11 @@ function render(fs) {
       num(r["schedinspector_dist_epochs_total"]),
       ms(q["schedinspector_inspect_coalesce_seconds/p99"]),
       ms(q["schedinspector_dist_exchange_seconds/p99"]),
-      queue, num(l["schedinspector_model_generation"], 0),
+      num(l["schedinspector_model_generation"], 0),
       '<span class="wrap">' + detail + "</span>",
     ]));
   }
-  if (!(fs.targets || []).length) empty(tb, 10, "no targets");
+  if (!(fs.targets || []).length) empty(tb, 9, "no targets");
 
   const d = fs.dist;
   $("dist").innerHTML = !d ? '<span class="none">no train workers</span>' :

@@ -48,8 +48,6 @@ func TestPollerEndToEnd(t *testing.T) {
 	// An inspectord-shaped process...
 	ir := obs.NewRegistry()
 	decisions := ir.Counter("schedinspector_inspect_decisions_total", "", obs.Labels{"verdict": "accept"})
-	depth := ir.Gauge("schedinspector_inspect_queue_depth", "", nil)
-	ir.Gauge("schedinspector_inspect_queue_capacity", "", nil).Set(100)
 	coalesce := ir.Histogram("schedinspector_inspect_coalesce_seconds", "", obs.ExponentialBuckets(1e-6, 4, 10), nil)
 	insp := fakeProcess(t, ir,
 		`{"candidates":[{"unix":123,"generation":2,"verdict":"promoted","candidate_score":1.5,"serving_score":1.2,"margin":0.3}]}`)
@@ -73,7 +71,6 @@ func TestPollerEndToEnd(t *testing.T) {
 
 	ctx := context.Background()
 	decisions.Add(100)
-	depth.Set(5)
 	coalesce.Observe(0.001)
 	epochs.Add(3)
 	straggler.Observe(0.2)

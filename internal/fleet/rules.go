@@ -222,12 +222,10 @@ const (
 	// stragglerFloorFrac: ignore skew while absolute wait is under this
 	// fraction of wall time — 2x of nothing is still nothing.
 	stragglerFloorFrac = 0.05
-	// queueSaturationFrac: inspect queue depth over capacity.
-	queueSaturationFrac = 0.8
-	// coalesceP99Burn: windowed p99 of the decision-wave coalesce delay,
-	// seconds. The wave collector is tuned for sub-10ms waves; a p99 an
-	// order of magnitude above that means the inspect path is burning
-	// its latency budget.
+	// coalesceP99Burn: windowed p99 of the inspect decision-lock wait,
+	// seconds. A decision holds the lock only to sample and record, so a
+	// p99 wait of 100ms means the inspect path is burning its latency
+	// budget queueing for the model.
 	coalesceP99Burn = 0.1
 	// promotionChurnCount: promotions inside one window that suggest the
 	// online loop is flapping rather than improving.
@@ -240,7 +238,6 @@ func DefaultRules() []Rule {
 		{Name: "target-down", Eval: ruleTargetDown},
 		{Name: "target-stale", Eval: ruleTargetStale},
 		{Name: "rank-straggler", Eval: ruleRankStraggler},
-		{Name: "queue-saturation", Eval: ruleQueueSaturation},
 		{Name: "wave-latency-burn", Eval: ruleWaveLatencyBurn},
 		{Name: "trace-sink-errors", Eval: ruleTraceSinkErrors},
 		{Name: "trace-ring-evictions", Eval: ruleTraceRingEvictions},
@@ -347,31 +344,6 @@ func safeRatio(a, b float64) float64 {
 	return a / b
 }
 
-func ruleQueueSaturation(ctx *RuleContext) []Finding {
-	var out []Finding
-	for _, t := range ctx.Targets {
-		if t.Hist == nil {
-			continue
-		}
-		depth, ok1 := t.Hist.GaugeLatest("schedinspector_inspect_queue_depth")
-		capacity, ok2 := t.Hist.GaugeLatest("schedinspector_inspect_queue_capacity")
-		if !ok1 || !ok2 || capacity <= 0 {
-			continue
-		}
-		frac := depth / capacity
-		if frac <= queueSaturationFrac {
-			continue
-		}
-		out = append(out, Finding{
-			Target:   t.Target.Name,
-			Severity: SevWarning,
-			Message:  fmt.Sprintf("inspect queue %.0f/%.0f (%.0f%% full)", depth, capacity, frac*100),
-			Value:    frac,
-		})
-	}
-	return out
-}
-
 func ruleWaveLatencyBurn(ctx *RuleContext) []Finding {
 	var out []Finding
 	for _, t := range ctx.Targets {
@@ -385,7 +357,7 @@ func ruleWaveLatencyBurn(ctx *RuleContext) []Finding {
 		out = append(out, Finding{
 			Target:   t.Target.Name,
 			Severity: SevWarning,
-			Message:  fmt.Sprintf("decision-wave coalesce p99 %.3fs over the last %.0fs", p99, ctx.WindowSec),
+			Message:  fmt.Sprintf("inspect decision-lock wait p99 %.3fs over the last %.0fs", p99, ctx.WindowSec),
 			Value:    p99,
 		})
 	}

@@ -80,31 +80,49 @@ func TestRuleRankStraggler(t *testing.T) {
 	}
 }
 
+// TestRuleQueueAndErrors covers the inspect-side rules: queueing for the
+// decision lock (wave-latency-burn over the lock-wait histogram) and the
+// trace-sink / audit error counters.
 func TestRuleQueueAndErrors(t *testing.T) {
 	h := NewHistory(8)
-	mk := func(depth float64, sinkErrs, auditFails uint64) *Scrape {
+	mk := func(fast, slow, sinkErrs, auditFails uint64) *Scrape {
 		return parseExp(t, fmt.Sprintf(
-			"schedinspector_inspect_queue_depth %g\n"+
-				"schedinspector_inspect_queue_capacity 100\n"+
-				"schedinspector_ftrace_sink_errors_total %d\n"+
-				"schedinspector_audit_write_failures_total %d\n",
-			depth, sinkErrs, auditFails))
+			"# TYPE schedinspector_inspect_coalesce_seconds histogram\n"+
+				"schedinspector_inspect_coalesce_seconds_bucket{le=\"0.001\"} %[1]d\n"+
+				"schedinspector_inspect_coalesce_seconds_bucket{le=\"1\"} %[2]d\n"+
+				"schedinspector_inspect_coalesce_seconds_bucket{le=\"+Inf\"} %[2]d\n"+
+				"schedinspector_inspect_coalesce_seconds_sum 0\n"+
+				"schedinspector_inspect_coalesce_seconds_count %[2]d\n"+
+				"schedinspector_ftrace_sink_errors_total %[3]d\n"+
+				"schedinspector_audit_write_failures_total %[4]d\n",
+			fast, fast+slow, sinkErrs, auditFails))
 	}
-	h.Add(100, mk(10, 0, 0))
-	h.Add(110, mk(95, 3, 1))
+	h.Add(100, mk(100, 0, 0, 0))
+	h.Add(110, mk(100, 100, 3, 1))
 	ctx := &RuleContext{NowUnix: 110, IntervalSec: 2, WindowSec: 60, Targets: []*TargetView{{
 		Target: Target{Name: "d", Addr: "x"}, Kind: "inspectord",
 		Up: true, LastOKUnix: 110, Hist: h,
 	}}}
 
-	if fs := ruleQueueSaturation(ctx); len(fs) != 1 || fs[0].Value != 0.95 {
-		t.Errorf("queue saturation: %+v", fs)
+	// Every in-window decision waited between 1ms and 1s for the lock.
+	if fs := ruleWaveLatencyBurn(ctx); len(fs) != 1 || fs[0].Value <= coalesceP99Burn ||
+		!strings.Contains(fs[0].Message, "decision-lock wait p99") {
+		t.Errorf("lock-wait burn: %+v", fs)
 	}
 	if fs := ruleTraceSinkErrors(ctx); len(fs) != 1 || fs[0].Value != 3 {
 		t.Errorf("sink errors: %+v", fs)
 	}
 	if fs := ruleAuditWriteFailures(ctx); len(fs) != 1 || fs[0].Value != 1 {
 		t.Errorf("audit failures: %+v", fs)
+	}
+
+	// Fast waits only: the burn rule stays quiet.
+	h2 := NewHistory(8)
+	h2.Add(100, mk(100, 0, 0, 0))
+	h2.Add(110, mk(200, 0, 0, 0))
+	ctx.Targets[0].Hist = h2
+	if fs := ruleWaveLatencyBurn(ctx); len(fs) != 0 {
+		t.Errorf("lock-wait burn fired on fast waits: %+v", fs)
 	}
 }
 

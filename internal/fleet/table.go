@@ -11,7 +11,7 @@ import (
 // smoke scripts: a target table, the dist summary, then active alerts.
 func WriteTable(w io.Writer, fs *FleetStatus) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "TARGET\tKIND\tSTATE\tDECISIONS/S\tEPOCHS/S\tCOALESCE-P99\tEXCHANGE-P99\tQUEUE\tGEN\tDETAIL")
+	fmt.Fprintln(tw, "TARGET\tKIND\tSTATE\tDECISIONS/S\tEPOCHS/S\tLOCK-WAIT-P99\tEXCHANGE-P99\tGEN\tDETAIL")
 	for _, t := range fs.Targets {
 		state := "up"
 		detail := fmt.Sprintf("%d pts", t.Points)
@@ -19,19 +19,12 @@ func WriteTable(w io.Writer, fs *FleetStatus) error {
 			state = "DOWN"
 			detail = t.LastErr
 		}
-		queue := "-"
-		if depth, ok := t.Latest["schedinspector_inspect_queue_depth"]; ok {
-			if capacity, ok := t.Latest["schedinspector_inspect_queue_capacity"]; ok && capacity > 0 {
-				queue = fmt.Sprintf("%.0f/%.0f", depth, capacity)
-			}
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
 			t.Name, t.Kind, state,
 			fmtNum(t.Rates, "schedinspector_inspect_decisions_total"),
 			fmtNum(t.Rates, "schedinspector_dist_epochs_total"),
 			fmtSeconds(t.Quantiles, "schedinspector_inspect_coalesce_seconds/p99"),
 			fmtSeconds(t.Quantiles, "schedinspector_dist_exchange_seconds/p99"),
-			queue,
 			fmtNum(t.Latest, "schedinspector_model_generation"),
 			detail)
 	}

@@ -130,9 +130,13 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	// Copy each family under the lock: register appends to f.series
+	// concurrently (lazily created request counters, per-target fleet
+	// series). A series never changes once appended, so the copied slice
+	// header is a consistent snapshot to render from after unlocking.
+	fams := make([]family, len(names))
 	for i, n := range names {
-		fams[i] = r.fams[n]
+		fams[i] = *r.fams[n]
 	}
 	r.mu.Unlock()
 

@@ -3,7 +3,7 @@
 //
 // The daemon already records every served decision (features, logits,
 // action, cluster context) into the flight-recorder ring, and already
-// hot-swaps generations atomically through the serve collector. This
+// hot-swaps generations atomically under the serve decision lock. This
 // package wires those pieces into a background retrainer:
 //
 //  1. Tail the live decision stream (obs.TraceRing.Snapshot images,
@@ -21,7 +21,7 @@
 //     reward metric — and promote only if the candidate clears a
 //     configurable margin.
 //  4. Promote through the existing swap path (generation-tracked, never
-//     tears against in-flight waves), then re-check on the next cycle's
+//     tears against an in-flight decision), then re-check on the next cycle's
 //     fresh holdout and roll back if the promotion regressed.
 //
 // Every failure mode — corrupt window image, reconstruction that does not

@@ -62,7 +62,7 @@ func (l *Loop) retrainCandidate(ctx context.Context, serving *core.Inspector, tr
 		return nil, nil, err
 	}
 	// Hand the candidate its own sampling RNG: the trainer's stream dies
-	// with the trainer, and the serving collector must never share one.
+	// with the trainer, and the serving path must never share one.
 	cand := t.Inspector().Clone(rand.New(rand.NewSource(cycleSeed(seed, 0x5eed))))
 	return cand, t.Checkpoint(), nil
 }

@@ -138,19 +138,6 @@ func (a *Agent) SampleExplain(obs []float64) (action int, logp float64, logits, 
 		append([]float64(nil), a.probs...)
 }
 
-// SampleExplainLogits is SampleExplain for a forward pass that already
-// happened: it draws an action from precomputed logits — same
-// SampleCategorical kernel, same single rng.Float64 — and returns an owned
-// copy of the softmax probabilities. It is the per-row sampling kernel of
-// the batched serving path, which forwards a whole decision wave with
-// nn.MLP.ForwardBatch and then samples each row in order; interleaving it
-// with Sample/SampleExplain leaves the RNG stream identical to calling
-// SampleExplain throughout.
-func (a *Agent) SampleExplainLogits(logits []float64) (action int, logp float64, probs []float64) {
-	action, logp = SampleCategorical(a.rng, logits, a.probs)
-	return action, logp, append([]float64(nil), a.probs...)
-}
-
 // GreedyExplain is Greedy with the policy's internals exported: the argmax
 // action plus copies of the logits and softmax probabilities. It never
 // touches the sampling RNG.

@@ -8,11 +8,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"strconv"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
@@ -22,15 +22,15 @@ import (
 
 // equivInspector builds a deterministic inspector: the same seed yields
 // identical weights AND an identical sampling stream, so two instances can
-// serve as a batched path and its scalar reference.
+// serve as the handler's model and its scalar reference.
 func equivInspector(seed int64, mode core.FeatureMode) *core.Inspector {
 	tr := workload.SDSCSP2Like(500, 3)
 	return core.NewInspector(rand.New(rand.NewSource(seed)), mode,
 		core.NormalizerForTrace(tr, metrics.BSLD), nil)
 }
 
-// waveRequest varies the scheduling context per index so a wave exercises
-// distinct feature vectors.
+// waveRequest varies the scheduling context per index so a request
+// sequence exercises distinct feature vectors.
 func waveRequest(i int) InspectRequest {
 	var req InspectRequest
 	req.Job.Wait = 30 + float64(i%11)*45
@@ -59,66 +59,12 @@ func waveState(req *InspectRequest) *sim.State {
 		req.BackfillEnabled, req.BackfillCount, queue)
 }
 
-// TestWaveEquivScalar is the batched-vs-scalar golden test at the serving
-// layer: a wave of N pending decisions answered by one processWave call
-// must produce outcomes and explain records identical to N sequential
-// scalar Explain calls on a reference inspector with the same seed —
-// features, logits, probabilities, sampled actions, and the RNG stream
-// they consumed.
-func TestWaveEquivScalar(t *testing.T) {
-	for _, waveSize := range []int{1, 7, DefaultMaxWave} {
-		t.Run(strconv.Itoa(waveSize), func(t *testing.T) {
-			h := NewHandlerOptions(equivInspector(5, core.ManualFeatures), Options{})
-			h.Close() // stop the collector; the test drives waves by hand
-			ref := equivInspector(5, core.ManualFeatures)
-
-			wave := make([]*pendingDecision, waveSize)
-			reqs := make([]InspectRequest, waveSize)
-			for i := range wave {
-				reqs[i] = waveRequest(i)
-				wave[i] = &pendingDecision{
-					req:   &reqs[i],
-					state: waveState(&reqs[i]),
-					done:  make(chan inspectOutcome, 1),
-				}
-			}
-			states := make([]*sim.State, waveSize)
-			outs := make([]core.ExplainOut, waveSize)
-			h.processWave(wave, states, outs)
-
-			recs := h.explains.Records()
-			if len(recs) != waveSize {
-				t.Fatalf("recorded %d explain records, want %d", len(recs), waveSize)
-			}
-			for i, p := range wave {
-				action, feat, logits, probs := ref.Explain(waveState(&reqs[i]), false)
-				out := <-p.done
-				wantReject := action == core.ActionReject
-				if out.reject != wantReject || out.rejectProb != probs[core.ActionReject] {
-					t.Fatalf("row %d: outcome (%v, %v), scalar (%v, %v)",
-						i, out.reject, out.rejectProb, wantReject, probs[core.ActionReject])
-				}
-				rec := recs[i]
-				if !reflect.DeepEqual(rec.Features, feat) ||
-					!reflect.DeepEqual(rec.Logits, logits) ||
-					!reflect.DeepEqual(rec.Probs, probs) || rec.Action != action {
-					t.Fatalf("row %d: explain record diverges from scalar:\nbatch  %+v\nscalar action=%d feat=%v logits=%v probs=%v",
-						i, rec, action, feat, logits, probs)
-				}
-				if rec.Seq != i {
-					t.Errorf("row %d: seq %d", i, rec.Seq)
-				}
-			}
-		})
-	}
-}
-
 // TestInspectEquivScalarHTTP pins byte-identical responses at the HTTP
 // boundary: sequential requests against the batched handler (every wave
 // has size 1) must produce exactly the JSON bodies a scalar reference
 // inspector predicts.
 func TestInspectEquivScalarHTTP(t *testing.T) {
-	h := NewHandlerOptions(equivInspector(11, core.ManualFeatures), Options{})
+	h := NewHandler(equivInspector(11, core.ManualFeatures))
 	defer h.Close()
 	ref := equivInspector(11, core.ManualFeatures)
 
@@ -153,7 +99,7 @@ func TestInspectEquivScalarHTTP(t *testing.T) {
 func TestReloadMetaTearRegression(t *testing.T) {
 	manual := equivInspector(1, core.ManualFeatures)
 	compact := equivInspector(2, core.CompactedFeatures)
-	h := NewHandlerOptions(manual, Options{})
+	h := NewHandler(manual)
 	defer h.Close()
 	var sink bytes.Buffer
 	h.explains.SetSink(&sink)
@@ -178,7 +124,15 @@ func TestReloadMetaTearRegression(t *testing.T) {
 			}
 		}(c)
 	}
+	// Pace the swaps against the clients: each swap waits until at least
+	// one decision has landed since the previous one, so the swaps cannot
+	// all finish before any client gets a decision in.
+	lastSeq, deadline := h.decSeq.Load(), time.Now().Add(30*time.Second)
 	for i := 0; i < 50; i++ {
+		for h.decSeq.Load() == lastSeq && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		lastSeq = h.decSeq.Load()
 		if i%2 == 0 {
 			h.Swap(compact)
 		} else {
@@ -315,7 +269,7 @@ func TestStatusWriterForwardsFlusher(t *testing.T) {
 }
 
 // TestCloseDrainsAndRejects pins shutdown: Close is idempotent, later
-// requests answer 503, and a post-Close Swap still applies (inline).
+// requests answer 503, and a post-Close Swap still applies.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	a, b := reloadPair(t)
 	h := NewHandler(a)
@@ -331,51 +285,5 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	page := metricsPage(t, h)
 	if !strings.Contains(page, "schedinspector_model_generation 2") {
 		t.Errorf("post-close swap not applied: %s", pageLine(page, "schedinspector_model_generation"))
-	}
-}
-
-// TestWaveMetricsUnderLoad checks the coalescing telemetry: after
-// concurrent traffic, the wave-size histogram has observed every decision
-// exactly once (sum of wave sizes == decisions) and the queue gauges render.
-func TestWaveMetricsUnderLoad(t *testing.T) {
-	h := testHandler(t)
-	defer h.Close()
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	const clients, perClient = 8, 25
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf bytes.Buffer
-			json.NewEncoder(&buf).Encode(validRequest())
-			body := buf.Bytes()
-			for i := 0; i < perClient; i++ {
-				resp, err := http.Post(srv.URL+"/v1/inspect", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
-			}
-		}()
-	}
-	wg.Wait()
-
-	page := metricsPage(t, h)
-	if !strings.Contains(page, "schedinspector_inspect_wave_size_sum 200") {
-		t.Errorf("wave sizes must sum to the %d decisions served: %s",
-			clients*perClient, pageLine(page, "schedinspector_inspect_wave_size_sum"))
-	}
-	for _, name := range []string{
-		"schedinspector_inspect_queue_depth",
-		"schedinspector_inspect_queue_capacity",
-		"schedinspector_inspect_coalesce_seconds_count",
-	} {
-		if !strings.Contains(page, name) {
-			t.Errorf("metrics page missing %s", name)
-		}
 	}
 }

@@ -16,10 +16,9 @@ import (
 	"schedinspector/internal/workload"
 )
 
-// Serving-throughput benchmarks: the decision-wave path against a faithful
-// replica of the pre-wave serving path (one model mutex, a scalar forward
-// per request), at 1, 64 and 512 concurrent clients. Results are archived
-// in BENCH_serve.json by `make bench-serve` and gated advisorily by
+// Serving-throughput benchmarks: /v1/inspect through NewHandler at 1, 64
+// and 512 concurrent in-process clients. Results are archived in
+// BENCH_serve.json by `make bench-serve` and gated advisorily by
 // `make bench-serve-check`; each benchmark reports decisions/s and the p99
 // request latency alongside the standard ns/op.
 
@@ -27,35 +26,6 @@ func benchInspector() *core.Inspector {
 	tr := workload.SDSCSP2Like(500, 3)
 	return core.NewInspector(rand.New(rand.NewSource(17)), core.ManualFeatures,
 		core.NormalizerForTrace(tr, metrics.BSLD), nil)
-}
-
-// mutexBaseline rebuilds the pre-wave /v1/inspect route on a handler whose
-// collector has been stopped: full decode and validation, then a scalar
-// Explain under one model mutex — the exact critical section this PR
-// replaced — followed by the same recordDecision call.
-func mutexBaseline(h *Handler) http.Handler {
-	var mu sync.Mutex
-	return http.HandlerFunc(h.instrument("/v1/inspect-mutex", func(w http.ResponseWriter, r *http.Request) {
-		var req InspectRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request", http.StatusBadRequest)
-			return
-		}
-		if req.Job.Procs <= 0 || req.Job.Est <= 0 || req.TotalProcs <= 0 ||
-			req.FreeProcs < 0 || req.FreeProcs > req.TotalProcs {
-			http.Error(w, "invalid", http.StatusBadRequest)
-			return
-		}
-		st := waveState(&req)
-		mu.Lock()
-		snap := h.snap.Load()
-		action, feat, logits, probs := snap.insp.Explain(st, false)
-		maxRej := snap.maxRej
-		mu.Unlock()
-		reject := action == core.ActionReject
-		h.recordDecision(&req, feat, logits, probs, action, maxRej, reject)
-		writeJSON(w, InspectResponse{Reject: reject, RejectProb: probs[core.ActionReject]})
-	}))
 }
 
 // benchInspect drives b.N requests through target from the given number of
@@ -112,21 +82,12 @@ func benchInspect(b *testing.B, clients int, target http.Handler) {
 	}
 }
 
-func benchWave(b *testing.B, clients int) {
-	h := NewHandlerOptions(benchInspector(), Options{})
+func benchHandler(b *testing.B, clients int) {
+	h := NewHandler(benchInspector())
 	defer h.Close()
 	benchInspect(b, clients, h)
 }
 
-func benchMutex(b *testing.B, clients int) {
-	h := NewHandlerOptions(benchInspector(), Options{})
-	h.Close() // requests go straight to the model under the baseline mutex
-	benchInspect(b, clients, mutexBaseline(h))
-}
-
-func BenchmarkInspectWaveC1(b *testing.B)    { benchWave(b, 1) }
-func BenchmarkInspectWaveC64(b *testing.B)   { benchWave(b, 64) }
-func BenchmarkInspectWaveC512(b *testing.B)  { benchWave(b, 512) }
-func BenchmarkInspectMutexC1(b *testing.B)   { benchMutex(b, 1) }
-func BenchmarkInspectMutexC64(b *testing.B)  { benchMutex(b, 64) }
-func BenchmarkInspectMutexC512(b *testing.B) { benchMutex(b, 512) }
+func BenchmarkInspectC1(b *testing.B)   { benchHandler(b, 1) }
+func BenchmarkInspectC64(b *testing.B)  { benchHandler(b, 64) }
+func BenchmarkInspectC512(b *testing.B) { benchHandler(b, 512) }

@@ -101,7 +101,7 @@ func TestMetricsReflectTraffic(t *testing.T) {
 func TestScrapeTimeQuantileGauges(t *testing.T) {
 	h := testHandler(t)
 
-	// No waves yet: the quantile gauges render NaN (absent-by-convention),
+	// No decisions yet: the quantile gauges render NaN (absent-by-convention),
 	// never a fake zero latency.
 	page := scrape(t, h)
 	if v := metricValue(t, page, "schedinspector_inspect_coalesce_seconds_p99", ""); !math.IsNaN(v) {
@@ -119,13 +119,15 @@ func TestScrapeTimeQuantileGauges(t *testing.T) {
 	if math.IsNaN(p50) || math.IsNaN(p99) || p50 < 0 || p99 < p50 {
 		t.Errorf("coalesce quantiles p50=%v p99=%v", p50, p99)
 	}
-	ws50 := metricValue(t, page, "schedinspector_inspect_wave_size_p50", "")
-	if math.IsNaN(ws50) || ws50 < 0.5 {
-		t.Errorf("wave-size p50 = %v, want >= ~1", ws50)
+	// Every decision is answered alone: the wave-size family observes
+	// exactly 1 per decision.
+	if c, s := metricValue(t, page, "schedinspector_inspect_wave_size_count", ""),
+		metricValue(t, page, "schedinspector_inspect_wave_size_sum", ""); c != 20 || s != 20 {
+		t.Errorf("wave-size count=%v sum=%v, want 20/20", c, s)
 	}
 	// The gauges must agree with the estimator run over the rendered
 	// buckets — same math on both surfaces.
-	uppers, cum := h.coalesce.Buckets()
+	uppers, cum := h.lockWait.Buckets()
 	if est := obs.HistQuantile(0.99, uppers, cum); math.Abs(est-p99) > 1e-9 {
 		t.Errorf("gauge p99 %v != estimator %v", p99, est)
 	}

@@ -10,31 +10,26 @@ import (
 
 // Model hot-swap. A running inspectord can pick up a newly trained model
 // without dropping in-flight requests: the replacement is loaded and
-// validated entirely off the serving path, then handed to the collector
-// goroutine, which installs it as one atomic snapshot between decision
-// waves. Decisions and swaps share one total order, so every decision —
-// and every explain/trace record it emits — is computed against exactly
-// one model, and the rings' meta headers can never tear against the
-// records around them.
+// validated entirely off the serving path, then installed as one atomic
+// snapshot under the decision lock. Decisions and swaps share one total
+// order, so every decision — and every explain/trace record it emits — is
+// computed against exactly one model, and the rings' meta headers can
+// never tear against the records around them.
 
-// Swap replaces the served inspector. The swap is applied by the
-// collector between waves (never mid-wave); when Swap returns, the new
-// snapshot and its explain/trace meta are visible, and every later
-// decision is answered by the replacement.
+// Swap replaces the served inspector. It waits for the decision in flight
+// (never interrupts one); when Swap returns, the new snapshot and its
+// explain/trace meta are visible, and every later decision is answered by
+// the replacement.
 func (h *Handler) Swap(insp *core.Inspector) {
-	s := swapRequest{insp: insp, done: make(chan struct{})}
-	h.stopMu.RLock()
-	if !h.stopped {
-		// The read lock held across the send pairs with Close's write lock:
-		// a completed send is always serviced before the collector exits.
-		h.swapCh <- s
-		h.stopMu.RUnlock()
-		<-s.done
-		return
-	}
-	h.stopMu.RUnlock()
-	// Collector gone; no decisions are in flight, apply inline.
-	h.applySwap(insp)
+	h.decideMu.Lock()
+	defer h.decideMu.Unlock()
+	old := h.snap.Load()
+	h.snap.Store(&snapshot{insp: insp, maxRej: insp.Norm.MaxRejections, gen: old.gen + 1})
+	h.explains.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
+	h.ring.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
+	h.params.Set(float64(insp.Agent.Policy.NumParams()))
+	h.reloads.Inc()
+	h.generation.Add(1)
 }
 
 // Current returns the inspector presently answering decisions and its

@@ -106,22 +106,20 @@ type InfoResponse struct {
 // Handler serves one inspector model.
 type Handler struct {
 	// The served model, published as one atomic snapshot (model + derived
-	// constants + generation). Request paths load it lock-free; only the
-	// collector goroutine stores it (see batch.go / reload.go).
+	// constants + generation). Read-only paths (/v1/info, /v1/simulate,
+	// Current) load it lock-free; only Swap stores it, under decideMu.
 	snap atomic.Pointer[snapshot]
 	mux  *http.ServeMux
 
-	// Batched serving path (see batch.go): requests enqueue pending
-	// decisions, the collector drains them into waves and answers each
-	// wave with one batched forward.
-	opts          Options
-	queue         chan *pendingDecision
-	swapCh        chan swapRequest
-	collectorDone chan struct{}
-	stopMu        sync.RWMutex // guards stopped; held (R) across queue sends
-	stopped       bool
-	batcher       core.BatchExplainer // collector-only
-	pendPool      sync.Pool
+	// decideMu is the decision lock. Every /v1/inspect decision (sample +
+	// record), every model swap and Close run under it, so decisions and
+	// swaps share one total order: each decision is computed, recorded and
+	// answered against exactly one snapshot, the explain/trace meta headers
+	// never tear against the records around them, and the served model's
+	// sampling RNG is drawn in that same order.
+	decideMu sync.Mutex
+	closed   bool          // guarded by decideMu; set by Close
+	audit    *json.Encoder // guarded by decideMu; decision audit log (JSONL), nil unless enabled
 
 	// Hot reload (see reload.go). reloader is set once before serving.
 	reloadMu sync.Mutex // serializes reloads, NOT held while serving
@@ -131,7 +129,6 @@ type Handler struct {
 	reg           *obs.Registry
 	reqMu         sync.Mutex
 	reqCounts     map[string]*obs.Counter // "route code" -> requests_total series
-	latency       map[string]*obs.Histogram
 	accepts       *obs.Counter
 	rejects       *obs.Counter
 	probHist      *obs.Histogram
@@ -140,11 +137,8 @@ type Handler struct {
 	loadFailures  *obs.Counter
 	generation    *obs.Gauge
 	waveSize      *obs.Histogram
-	coalesce      *obs.Histogram
+	lockWait      *obs.Histogram
 	auditFailures *obs.Counter
-
-	auditMu sync.Mutex
-	audit   *json.Encoder // decision audit log (JSONL), nil unless enabled
 
 	// Per-decision explainability (see explain.go): the last decisions in
 	// a bounded ring served over GET /v1/explain/last.
@@ -154,39 +148,33 @@ type Handler struct {
 	// Always-on binary flight recorder (see trace.go): every served
 	// decision is also encoded into the arena-backed trace ring, dumped
 	// over GET /v1/trace/snapshot and optionally streamed to a .ftrace
-	// sink. The ring has its own lock; the request path never blocks on it.
+	// sink. The ring has its own lock, taken only briefly per record.
 	ring *obs.TraceRing
 }
 
-// NewHandler wraps the inspector in an http.Handler with the default
-// Options. See NewHandlerOptions.
-func NewHandler(insp *core.Inspector) *Handler {
-	return NewHandlerOptions(insp, Options{})
+// snapshot is the atomically-published serving state: the model plus every
+// per-decision constant derived from it. Readers load it once and see one
+// consistent model+meta; a swap installs a complete replacement, never a
+// field-by-field mutation.
+type snapshot struct {
+	insp   *core.Inspector
+	maxRej int
+	gen    int64 // 1 = boot model, +1 per swap
 }
 
-// NewHandlerOptions wraps the inspector in an http.Handler with routes
+// NewHandler wraps the inspector in an http.Handler with routes
 // POST /v1/inspect, POST /v1/simulate, GET /v1/info (also served at
-// /healthz) and GET /metrics (Prometheus text exposition). It starts the
-// decision-wave collector goroutine; call Close to stop it after the HTTP
-// server has drained.
-func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
-	opts = opts.withDefaults()
+// /healthz) and GET /metrics (Prometheus text exposition). Call Close after
+// the HTTP server has drained to refuse any later decisions.
+func NewHandler(insp *core.Inspector) *Handler {
 	h := &Handler{
-		mux:           http.NewServeMux(),
-		opts:          opts,
-		queue:         make(chan *pendingDecision, opts.QueueDepth),
-		swapCh:        make(chan swapRequest),
-		collectorDone: make(chan struct{}),
-		reg:           obs.NewRegistry(),
-		reqCounts:     make(map[string]*obs.Counter),
-		latency:       make(map[string]*obs.Histogram),
-		explains:      obs.NewExplainRecorder(DefaultServeExplainCap),
-		ring:          obs.NewTraceRing(0, 0),
+		mux:       http.NewServeMux(),
+		reg:       obs.NewRegistry(),
+		reqCounts: make(map[string]*obs.Counter),
+		explains:  obs.NewExplainRecorder(DefaultServeExplainCap),
+		ring:      obs.NewTraceRing(0, 0),
 	}
 	h.snap.Store(&snapshot{insp: insp, maxRej: insp.Norm.MaxRejections, gen: 1})
-	h.pendPool.New = func() any {
-		return &pendingDecision{done: make(chan inspectOutcome, 1)}
-	}
 	h.ring.Instrument(h.reg)
 	h.explains.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
 	h.ring.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
@@ -219,35 +207,27 @@ func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
 	h.generation = h.reg.Gauge("schedinspector_model_generation",
 		"Generation of the served model (1 = boot model, +1 per swap).", nil)
 	h.generation.Set(1)
-	h.reg.GaugeFunc("schedinspector_inspect_queue_depth",
-		"Pending decisions in the decision-wave queue.", nil,
-		func() float64 { return float64(len(h.queue)) })
-	h.reg.Gauge("schedinspector_inspect_queue_capacity",
-		"Capacity of the decision-wave queue.", nil).Set(float64(opts.QueueDepth))
+	// Every decision is answered by its own forward, so the wave-size
+	// family observes 1 per decision. It stays registered because readers
+	// of the exposition (perfbench) count a missing family as a failure.
 	h.waveSize = h.reg.Histogram("schedinspector_inspect_wave_size",
-		"Decisions answered per batched forward.",
+		"Decisions answered per model forward (always 1; kept for existing readers).",
 		obs.ExponentialBuckets(1, 2, 10), nil)
-	h.coalesce = h.reg.Histogram("schedinspector_inspect_coalesce_seconds",
-		"Time a decision waited in the queue before its wave was forwarded.",
+	h.lockWait = h.reg.Histogram("schedinspector_inspect_coalesce_seconds",
+		"Time a decision waited to enter the decision lock.",
 		obs.ExponentialBuckets(1e-6, 4, 10), nil)
-	// Scrape-time quantile gauges over the live wave histograms, through
-	// the same estimator the fleet plane uses on parsed expositions — a
-	// dashboard reading either surface sees the same number for the same
-	// buckets. GaugeFunc evaluates at render, so the gauges cost nothing
-	// between scrapes; NaN (empty histogram) renders as NaN, which every
-	// Prometheus-compatible consumer treats as absent.
+	// Scrape-time quantile gauges over the live lock-wait histogram,
+	// through the same estimator the fleet plane uses on parsed
+	// expositions — a dashboard reading either surface sees the same
+	// number for the same buckets. GaugeFunc evaluates at render, so the
+	// gauges cost nothing between scrapes; NaN (empty histogram) renders
+	// as NaN, which every Prometheus-compatible consumer treats as absent.
 	h.reg.GaugeFunc("schedinspector_inspect_coalesce_seconds_p50",
-		"Median queue wait before a decision's wave forwarded (lifetime buckets).", nil,
-		func() float64 { return h.coalesce.Quantile(0.5) })
+		"Median wait to enter the decision lock (lifetime buckets).", nil,
+		func() float64 { return h.lockWait.Quantile(0.5) })
 	h.reg.GaugeFunc("schedinspector_inspect_coalesce_seconds_p99",
-		"p99 queue wait before a decision's wave forwarded (lifetime buckets).", nil,
-		func() float64 { return h.coalesce.Quantile(0.99) })
-	h.reg.GaugeFunc("schedinspector_inspect_wave_size_p50",
-		"Median decisions answered per batched forward (lifetime buckets).", nil,
-		func() float64 { return h.waveSize.Quantile(0.5) })
-	h.reg.GaugeFunc("schedinspector_inspect_wave_size_p99",
-		"p99 decisions answered per batched forward (lifetime buckets).", nil,
-		func() float64 { return h.waveSize.Quantile(0.99) })
+		"p99 wait to enter the decision lock (lifetime buckets).", nil,
+		func() float64 { return h.lockWait.Quantile(0.99) })
 	h.auditFailures = h.reg.Counter("schedinspector_audit_write_failures_total",
 		"Decision audit log encode/write failures (the decision still serves).", nil)
 	h.mux.HandleFunc("/v1/inspect", h.instrument("/v1/inspect", h.inspect))
@@ -258,7 +238,6 @@ func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
 	h.mux.HandleFunc("/v1/explain/last", h.instrument("/v1/explain/last", h.explainLast))
 	h.mux.HandleFunc("/v1/trace/snapshot", h.instrument("/v1/trace/snapshot", h.traceSnapshot))
 	h.mux.Handle("/metrics", h.reg.Handler())
-	go h.collect()
 	return h
 }
 
@@ -270,13 +249,22 @@ func (h *Handler) Registry() *obs.Registry { return h.reg }
 // /v1/inspect decision, recording the request, the normalized feature
 // vector the model saw, and the verdict. Pass nil to disable.
 func (h *Handler) SetAuditSink(w io.Writer) {
-	h.auditMu.Lock()
+	h.decideMu.Lock()
 	if w == nil {
 		h.audit = nil
 	} else {
 		h.audit = json.NewEncoder(w)
 	}
-	h.auditMu.Unlock()
+	h.decideMu.Unlock()
+}
+
+// Close refuses every later decision: /v1/inspect answers 503 from then
+// on. Call it after the HTTP server has shut down. Swaps still apply after
+// Close, and closing twice is a no-op.
+func (h *Handler) Close() {
+	h.decideMu.Lock()
+	h.closed = true
+	h.decideMu.Unlock()
 }
 
 // statusWriter captures the response code for the request counters.
@@ -342,8 +330,8 @@ type auditRecord struct {
 
 // recordDecision updates the decision metrics, the explain ring, and (if
 // enabled) the audit log. maxRej is the served model's rejection cap,
-// read from the same snapshot the decision was computed under. It runs on
-// the collector goroutine, before the decision's response is released.
+// read from the same snapshot the decision was computed under. It runs
+// under the decision lock, before the decision's response is written.
 func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []float64, action, maxRej int, reject bool) {
 	prob := probs[core.ActionReject]
 	if reject {
@@ -369,7 +357,6 @@ func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []floa
 	h.ring.EmitDecision(&rec) // copies; the explain ring takes ownership below
 	h.explains.Record(rec)
 
-	h.auditMu.Lock()
 	if h.audit != nil {
 		err := h.audit.Encode(auditRecord{
 			Time:       time.Now().UTC().Format(time.RFC3339Nano),
@@ -384,7 +371,6 @@ func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []floa
 			h.auditFailures.Inc()
 		}
 	}
-	h.auditMu.Unlock()
 }
 
 // ServeHTTP implements http.Handler.
@@ -417,22 +403,24 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		req.Job.Wait, req.Rejections, req.FreeProcs, req.TotalProcs,
 		req.BackfillEnabled, req.BackfillCount, queue)
 
-	// The forward pass happens on the collector goroutine: enqueue one
-	// pending decision and wait for its wave. Under load the wave coalesces
-	// many requests into one batched forward; at concurrency 1 it
-	// degenerates to a scalar forward plus one channel handoff. By the time
-	// the outcome arrives, the decision is already recorded (metrics,
-	// explain ring, trace ring, audit log) — see processWave.
-	p := h.pendPool.Get().(*pendingDecision)
-	p.req, p.state, p.enqueued = &req, st, time.Now()
-	if !h.submit(p) {
+	// Sample and record under the decision lock, then reply. By the time
+	// the client has its verdict, the metrics, explain ring, trace ring and
+	// audit log all reflect it.
+	enter := time.Now()
+	h.decideMu.Lock()
+	if h.closed {
+		h.decideMu.Unlock()
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	out := <-p.done
-	p.req, p.state = nil, nil
-	h.pendPool.Put(p)
-	writeJSON(w, InspectResponse{Reject: out.reject, RejectProb: out.rejectProb})
+	h.lockWait.Observe(time.Since(enter).Seconds())
+	h.waveSize.Observe(1)
+	snap := h.snap.Load()
+	action, feat, logits, probs := snap.insp.Explain(st, false)
+	reject := action == core.ActionReject
+	h.recordDecision(&req, feat, logits, probs, action, snap.maxRej, reject)
+	h.decideMu.Unlock()
+	writeJSON(w, InspectResponse{Reject: reject, RejectProb: probs[core.ActionReject]})
 }
 
 // simulate runs a full what-if schedule over the submitted job sequence by

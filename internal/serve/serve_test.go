@@ -16,7 +16,7 @@ import (
 	"schedinspector/internal/workload"
 )
 
-func testHandler(t *testing.T) *Handler {
+func testHandler(t testing.TB) *Handler {
 	t.Helper()
 	tr := workload.SDSCSP2Like(500, 3)
 	insp := core.NewInspector(rand.New(rand.NewSource(1)), core.ManualFeatures,
@@ -87,19 +87,22 @@ func TestInspectSamplesPolicy(t *testing.T) {
 	}
 }
 
+// invalidInspectCases are single-field corruptions of validRequest that
+// /v1/inspect must answer 400.
+var invalidInspectCases = []struct {
+	name string
+	mut  func(*InspectRequest)
+}{
+	{"zero procs", func(r *InspectRequest) { r.Job.Procs = 0 }},
+	{"zero est", func(r *InspectRequest) { r.Job.Est = 0 }},
+	{"zero total", func(r *InspectRequest) { r.TotalProcs = 0 }},
+	{"negative free", func(r *InspectRequest) { r.FreeProcs = -1 }},
+	{"free over total", func(r *InspectRequest) { r.FreeProcs = 999 }},
+}
+
 func TestInspectValidation(t *testing.T) {
 	h := testHandler(t)
-	cases := []struct {
-		name string
-		mut  func(*InspectRequest)
-	}{
-		{"zero procs", func(r *InspectRequest) { r.Job.Procs = 0 }},
-		{"zero est", func(r *InspectRequest) { r.Job.Est = 0 }},
-		{"zero total", func(r *InspectRequest) { r.TotalProcs = 0 }},
-		{"negative free", func(r *InspectRequest) { r.FreeProcs = -1 }},
-		{"free over total", func(r *InspectRequest) { r.FreeProcs = 999 }},
-	}
-	for _, c := range cases {
+	for _, c := range invalidInspectCases {
 		req := validRequest()
 		c.mut(&req)
 		if rec := postInspect(t, h, req); rec.Code != http.StatusBadRequest {
