@@ -14,7 +14,7 @@ FUZZTIME ?= 30s
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags '-X schedinspector/internal/version.Version=$(VERSION)'
 
-.PHONY: all build bin vet fmt-check test test-short race bench bench-env bench-check bench-serve bench-serve-check bench-fleet bench-fleet-check equiv fuzz-smoke trace-smoke dist-smoke loop-smoke fleet-smoke verify
+.PHONY: all build bin vet fmt-check test test-short race race-soak bench bench-env bench-check bench-serve bench-serve-check bench-fleet bench-fleet-check bench-train bench-train-check equiv fuzz-smoke trace-smoke dist-smoke loop-smoke fleet-smoke verify
 
 all: build
 
@@ -42,6 +42,14 @@ test-short:
 race:
 	$(GO) test -race ./internal/obs/ ./internal/serve/ ./internal/rollout/ ./internal/ckpt/ ./internal/explain/ ./internal/dist/ ./internal/online/ ./internal/fleet/
 	$(GO) test -race -short ./internal/core/ ./internal/rl/ ./internal/sim/
+
+# race-soak repeats the race-detector pass over the concurrency packages
+# ten times, so an intermittent race or timing-dependent test shows up in
+# its own CI job rather than as a flake in someone else's change. The rl
+# leg is the concurrent PPO update's bit-identity test.
+race-soak:
+	$(GO) test -race -count=10 ./internal/obs/ ./internal/serve/ ./internal/online/ ./internal/rollout/
+	$(GO) test -race -count=10 -run '^TestConcurrentUpdateBitIdentical$$' ./internal/rl/
 
 bench: bench-env
 	$(GO) test -bench=. -benchmem .
@@ -87,6 +95,20 @@ bench-fleet:
 bench-fleet-check:
 	$(GO) test -run '^$$' -bench 'Fleet' -benchmem ./internal/fleet/ \
 		| $(GO) run ./cmd/benchjson -check BENCH_fleet.json -tolerance 0.25
+
+# bench-train runs the training benchmarks (one PPO update serially and
+# with the concurrent policy/value passes; one RunEpoch at 1, 2 and 4
+# workers) and archives the parsed results — ns/op with the GOMAXPROCS
+# they ran at — in BENCH_train.json.
+TRAIN_BENCH = { $(GO) test -run '^$$' -bench '^BenchmarkPPOUpdate$$' -benchmem . && \
+	$(GO) test -run '^$$' -bench '^BenchmarkRunEpochWorkers$$' -benchmem ./internal/core/; }
+bench-train:
+	$(TRAIN_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_train.json
+
+# bench-train-check reruns the training benchmarks against the committed
+# BENCH_train.json baseline (advisory in CI, same as bench-serve-check).
+bench-train-check:
+	$(TRAIN_BENCH) | $(GO) run ./cmd/benchjson -check BENCH_train.json -tolerance 0.25
 
 # equiv runs the golden equivalence suites that pin the Env/wave engines to
 # the verbatim seed implementations — /v1/inspect responses to the scalar
@@ -223,5 +245,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFTrace$$' -fuzztime $(FUZZTIME) ./internal/explain/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzInspectBody$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePeerPayload$$' -fuzztime $(FUZZTIME) ./internal/dist/
 
 verify: build vet fmt-check race test

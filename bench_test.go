@@ -8,6 +8,7 @@ package schedinspector_test
 
 import (
 	"compress/gzip"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -216,11 +217,18 @@ func BenchmarkMLPForward(b *testing.B) {
 }
 
 // BenchmarkPPOUpdate measures one PPO update over a 1280-step batch (ten
-// 128-job trajectories).
+// 128-job trajectories), serially (workers=1) and with the policy and value
+// passes on two goroutines (workers=2).
 func BenchmarkPPOUpdate(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchPPOUpdate(b, workers) })
+	}
+}
+
+func benchPPOUpdate(b *testing.B, workers int) {
 	rng := rand.New(rand.NewSource(2))
 	agent := rl.NewAgent(rng, 8, core.DefaultHidden(), 2)
-	ppo := rl.NewPPO(agent, rl.PPOConfig{})
+	ppo := rl.NewPPO(agent, rl.PPOConfig{}, workers)
 	var batch []rl.Trajectory
 	for t := 0; t < 10; t++ {
 		var tr rl.Trajectory

@@ -181,7 +181,7 @@ func cmdTrain(args []string, worker bool) error {
 	reward := fs.String("reward", "percentage", "reward function (percentage, native, winloss)")
 	model := fs.String("model", "model.gob", "output model path")
 	telemetry := fs.String("telemetry", "", "write per-epoch training telemetry to this file (.jsonl for JSON lines, otherwise CSV)")
-	workers := fs.Int("workers", 0, "rollout worker goroutines (0 = one per CPU); results are identical at any count")
+	workers := fs.Int("workers", 0, "epoch fan-out: rollout goroutines, and the PPO update's two concurrent passes from 2 up (0 = one per CPU); results are identical at any count")
 	ckptDir := fs.String("checkpoint-dir", "", "write durable training checkpoints to this directory (atomic, CRC-guarded)")
 	ckptEvery := fs.Int("checkpoint-every", 10, "epochs between periodic checkpoints (with -checkpoint-dir)")
 	ckptKeep := fs.Int("checkpoint-keep", 3, "checkpoint files to retain, oldest pruned first (0 = keep all)")

@@ -21,6 +21,13 @@ type RolloutMetrics struct {
 	BaselineCacheHits      *obs.Counter
 	BaselineCacheMisses    *obs.Counter
 	BaselineCacheEvictions *obs.Counter
+
+	// RolloutPhaseSeconds and UpdatePhaseSeconds observe the two phases of
+	// every training epoch a Trainer runs: RolloutShard (baselines and
+	// inspected episodes) and ApplyDeltas (the PPO update) — the
+	// schedinspector_train_phase_seconds{phase} series.
+	RolloutPhaseSeconds *obs.Histogram
+	UpdatePhaseSeconds  *obs.Histogram
 }
 
 // NewRolloutMetrics registers the rollout metric family on r.
@@ -40,8 +47,15 @@ func NewRolloutMetrics(r *obs.Registry) *RolloutMetrics {
 			"Baseline cache lookups that computed a fresh summary.", nil),
 		BaselineCacheEvictions: r.Counter("schedinspector_baseline_cache_evictions_total",
 			"Baseline cache entries evicted by the LRU bound.", nil),
+		RolloutPhaseSeconds: r.Histogram(phaseMetric, phaseHelp, nil, obs.Labels{"phase": "rollout"}),
+		UpdatePhaseSeconds:  r.Histogram(phaseMetric, phaseHelp, nil, obs.Labels{"phase": "update"}),
 	}
 }
+
+const (
+	phaseMetric = "schedinspector_train_phase_seconds"
+	phaseHelp   = "Wall time of one training-epoch phase: rollout (RolloutShard) or update (ApplyDeltas)."
+)
 
 // observeRollout publishes one rollout's pool statistics. Nil receivers are
 // a no-op so the un-instrumented path costs a single branch.

@@ -385,6 +385,14 @@ func TestRolloutMetricsPublished(t *testing.T) {
 	if !strings.Contains(out, "schedinspector_rollout_trajectory_seconds_count 7") {
 		t.Errorf("expected 7 trajectory observations (4 train + 3 eval) in:\n%s", out)
 	}
+	// One training epoch: one rollout and one update observation; the
+	// evaluation pass is not a training phase and adds none.
+	for _, phase := range []string{"rollout", "update"} {
+		want := `schedinspector_train_phase_seconds_count{phase="` + phase + `"} 1`
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered metrics missing %q", want)
+		}
+	}
 }
 
 func TestRunIndexed(t *testing.T) {
@@ -413,9 +421,11 @@ func TestRunIndexed(t *testing.T) {
 }
 
 // BenchmarkRunEpochWorkers measures one training epoch at increasing worker
-// counts. On a multi-core machine the 4-worker case should run roughly
-// min(4, cores)x faster than sequential; on a single core all cases
-// degenerate to the same cost (the pool adds only scheduling noise).
+// counts. The PPO update dominates the epoch, so the rollout fan-out alone
+// moves it little; from 2 workers on, the update runs its policy and value
+// passes on two cores, which bounds the speedup at about 2x however many
+// workers or cores there are. On a single core all cases cost the same
+// (the goroutines add only scheduling noise).
 func BenchmarkRunEpochWorkers(b *testing.B) {
 	tr := workload.SDSCSP2Like(6000, 17)
 	for _, workers := range []int{1, 2, 4} {

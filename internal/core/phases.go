@@ -104,6 +104,9 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 	if lo < 0 || hi > B || lo >= hi {
 		return nil, fmt.Errorf("core: RolloutShard [%d, %d) out of range for batch %d", lo, hi, B)
 	}
+	if m := t.cfg.Metrics; m != nil {
+		defer func(start time.Time) { m.RolloutPhaseSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
+	}
 	n := hi - lo
 
 	// Per-index streams, global-indexed: entry b exists for b in [lo, hi).
@@ -216,6 +219,9 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 // many). An incomplete, duplicated or out-of-order delta set is rejected
 // before any state changes.
 func (t *Trainer) ApplyDeltas(deltas []TrajDelta) (EpochStats, error) {
+	if m := t.cfg.Metrics; m != nil {
+		defer func(start time.Time) { m.UpdatePhaseSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
+	}
 	stats := EpochStats{Epoch: t.epoch}
 	B := t.cfg.Batch
 	if len(deltas) != B {

@@ -37,10 +37,12 @@ type TrainConfig struct {
 	MaxInterval   float64 // simulator retry cut-off (600 s)
 	MaxRejections int     // simulator per-job rejection cap (72)
 
-	// Workers is the rollout fan-out: trajectories per epoch are simulated
-	// on this many goroutines (0 = one per CPU). Any worker count produces
-	// bit-identical results — per-trajectory RNG streams are derived from
-	// (Seed, epoch, trajectory index), never from execution order.
+	// Workers is the epoch's fan-out (0 = one per CPU). Trajectories are
+	// simulated on this many goroutines, and with 2 or more the PPO update
+	// runs its policy and value passes concurrently. Any worker count
+	// produces bit-identical results: per-trajectory RNG streams are
+	// derived from (Seed, epoch, trajectory index), never from execution
+	// order, and the two update passes touch disjoint state.
 	Workers int
 
 	// BaselineCacheSize bounds the per-window baseline summary cache
@@ -268,7 +270,7 @@ func newTrainer(cfg TrainConfig, warm *Inspector) (*Trainer, error) {
 	return &Trainer{
 		cfg:       cfg,
 		insp:      insp,
-		ppo:       rl.NewPPO(insp.Agent, cfg.PPO),
+		ppo:       rl.NewPPO(insp.Agent, cfg.PPO, cfg.Workers),
 		rng:       rng,
 		trainLo:   0,
 		trainHi:   hi,

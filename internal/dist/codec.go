@@ -188,6 +188,16 @@ func encodeShard(m shardMsg) []byte {
 	return w.buf
 }
 
+// Minimum encoded sizes in a shard message. A count the decoder reads is
+// believed only if the bytes left could hold that many of the smallest
+// record, so a frame can never make the decoder allocate much more than
+// its own length.
+const (
+	minDeltaBytes = 4 + 3*8 + 3*4 // index, three floats, inspections, rejections, step count
+	minStepBytes  = 4 + 4 + 8     // feature count, action, log-probability
+	featureBytes  = 8
+)
+
 func decodeShard(payload []byte) (shardMsg, error) {
 	r := &binReader{data: payload}
 	if k := r.u8(); r.err == nil && k != msgShard {
@@ -200,7 +210,7 @@ func decodeShard(payload []byte) (shardMsg, error) {
 		Hi:    int(r.u32()),
 	}
 	n := int(r.u32())
-	if r.err == nil && (n < 0 || n > len(r.data)) {
+	if r.err == nil && (n < 0 || n > len(r.data)/minDeltaBytes) {
 		return shardMsg{}, fmt.Errorf("dist: shard claims %d deltas in %d bytes", n, len(r.data))
 	}
 	m.Deltas = make([]core.TrajDelta, 0, n)
@@ -214,13 +224,15 @@ func decodeShard(payload []byte) (shardMsg, error) {
 			Rejections:     int(r.u32()),
 		}
 		steps := int(r.u32())
-		if r.err == nil && (steps < 0 || steps > len(r.data)) {
+		if r.err == nil && (steps < 0 || steps > len(r.data)/minStepBytes) {
 			return shardMsg{}, fmt.Errorf("dist: delta claims %d steps in %d bytes", steps, len(r.data))
 		}
 		d.Steps = make([]rl.Step, 0, steps)
 		for j := 0; j < steps && r.err == nil; j++ {
 			obsN := int(r.u32())
-			if r.err == nil && (obsN < 0 || obsN*8 > len(r.data)) {
+			// The rest of the step must hold obsN features, the action and
+			// the log-probability.
+			if r.err == nil && (obsN < 0 || obsN > (len(r.data)-(minStepBytes-4))/featureBytes) {
 				return shardMsg{}, fmt.Errorf("dist: step claims %d features in %d bytes", obsN, len(r.data))
 			}
 			s := rl.Step{Obs: make([]float64, obsN)}

@@ -28,10 +28,10 @@ func (c *BatchCache) ensure(m *MLP, rows int) {
 // The returned slice aliases cache storage when a cache is supplied and is
 // valid until the next ForwardBatch with the same cache.
 //
-// Row r of the result is bit-identical to Forward of row r alone: each
-// row's dot products accumulate in exactly the element order Forward uses,
-// so batching decisions — the rollout driver's one-forward-per-wave path —
-// can never change a sampled action or logged probability.
+// Row r of the result is bit-identical to Forward of row r alone: both run
+// every row through the same dense kernel, so batching decisions — the
+// rollout driver's one-forward-per-wave path — can never change a sampled
+// action or logged probability.
 func (m *MLP) ForwardBatch(xs []float64, rows int, cache *BatchCache) []float64 {
 	if rows < 0 || len(xs) != rows*m.Sizes[0] {
 		panic(fmt.Sprintf("nn: batch input length %d, want %d rows x %d", len(xs), rows, m.Sizes[0]))
@@ -43,21 +43,14 @@ func (m *MLP) ForwardBatch(xs []float64, rows int, cache *BatchCache) []float64 
 	cache.ensure(m, rows)
 	copy(cache.as[0], xs)
 	for l := range m.W {
-		w := m.W[l]
-		bias := m.B[l]
 		act := m.Acts[l]
 		nIn, nOut := m.Sizes[l], m.Sizes[l+1]
 		inAll, outAll := cache.as[l], cache.as[l+1]
 		for r := 0; r < rows; r++ {
-			in := inAll[r*nIn : (r+1)*nIn]
 			out := outAll[r*nOut : (r+1)*nOut]
-			for o := range out {
-				sum := bias[o]
-				row := w[o*nIn : (o+1)*nIn]
-				for i, v := range in {
-					sum += row[i] * v
-				}
-				out[o] = act.apply(sum)
+			dense(out, m.W[l], m.B[l], inAll[r*nIn:(r+1)*nIn])
+			for o, s := range out {
+				out[o] = act.apply(s)
 			}
 		}
 	}

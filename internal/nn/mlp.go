@@ -114,22 +114,48 @@ func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
 	cache.ensure(m)
 	copy(cache.as[0], x)
 	for l := range m.W {
-		in := cache.as[l]
-		z := cache.zs[l]
-		a := cache.as[l+1]
-		w := m.W[l]
-		nIn := m.Sizes[l]
-		for o := range z {
-			sum := m.B[l][o]
-			row := w[o*nIn : (o+1)*nIn]
-			for i, v := range in {
-				sum += row[i] * v
-			}
-			z[o] = sum
-			a[o] = m.Acts[l].apply(sum)
+		z, a := cache.zs[l], cache.as[l+1]
+		dense(z, m.W[l], m.B[l], cache.as[l])
+		act := m.Acts[l]
+		for o, s := range z {
+			a[o] = act.apply(s)
 		}
 	}
 	return cache.as[len(m.W)]
+}
+
+// dense is the one dense-layer kernel behind Forward and ForwardBatch: it
+// sets z[o] = b[o] + Σ_i w[o*len(x)+i]·x[i] for every output o. Each sweep
+// over x feeds four output rows, each with its own accumulator, so the
+// input is loaded once per four rows. Every output still sums bias first,
+// then inputs in ascending order, in the acc += w*x shape — the scalar
+// loop's exact operation sequence, so results (and any FMA fusion the
+// compiler applies) are bit-identical to computing one row at a time.
+func dense(z, w, b, x []float64) {
+	nIn := len(x)
+	o := 0
+	for ; o+4 <= len(z); o += 4 {
+		r0 := w[o*nIn : (o+1)*nIn]
+		r1 := w[(o+1)*nIn : (o+2)*nIn]
+		r2 := w[(o+2)*nIn : (o+3)*nIn]
+		r3 := w[(o+3)*nIn : (o+4)*nIn]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, v := range x {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		z[o], z[o+1], z[o+2], z[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(z); o++ {
+		s := b[o]
+		row := w[o*nIn : (o+1)*nIn]
+		for i, v := range x {
+			s += row[i] * v
+		}
+		z[o] = s
+	}
 }
 
 // Grads accumulates parameter gradients with the same shapes as the MLP.
@@ -205,36 +231,86 @@ func (m *MLP) Backward(cache *Cache, dOut []float64, g *Grads) {
 		delta[o] = dOut[o] * m.Acts[layers-1].derivFromOutput(cache.as[layers][o], cache.zs[layers-1][o])
 	}
 	for l := layers - 1; l >= 0; l-- {
-		in := cache.as[l]
 		nIn := m.Sizes[l]
-		gw := g.W[l]
-		gb := g.B[l]
-		for o, d := range delta {
-			gb[o] += d
-			row := gw[o*nIn : (o+1)*nIn]
-			for i, v := range in {
-				row[i] += d * v
-			}
-		}
+		accumGrads(g.W[l], g.B[l], delta, cache.as[l])
 		if l == 0 {
 			break
 		}
 		// propagate delta to layer l-1
 		prev := cache.dNxt[:nIn]
-		clear(prev)
-		w := m.W[l]
-		for o, d := range delta {
-			row := w[o*nIn : (o+1)*nIn]
-			for i := range prev {
-				prev[i] += d * row[i]
-			}
-		}
+		backprop(prev, m.W[l], delta)
 		for i := range prev {
 			prev[i] *= m.Acts[l-1].derivFromOutput(cache.as[l][i], cache.zs[l-1][i])
 		}
 		cache.dCur, cache.dNxt = cache.dNxt, cache.dCur
 		delta = cache.dCur[:nIn]
 		copy(delta, prev)
+	}
+}
+
+// accumGrads adds one sample's layer gradients into gw (row-major,
+// len(delta) x len(in)) and gb: gb[o] += d_o and gw[o][i] += d_o·in[i].
+// Rows go four at a time so each in[i] is loaded once per four rows; every
+// parameter still receives exactly one add per call, in the scalar loop's
+// expression shape, so accumulating samples in order stays bit-identical.
+func accumGrads(gw, gb, delta, in []float64) {
+	nIn := len(in)
+	o := 0
+	for ; o+4 <= len(delta); o += 4 {
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
+		gb[o] += d0
+		gb[o+1] += d1
+		gb[o+2] += d2
+		gb[o+3] += d3
+		g0 := gw[o*nIn : (o+1)*nIn]
+		g1 := gw[(o+1)*nIn : (o+2)*nIn]
+		g2 := gw[(o+2)*nIn : (o+3)*nIn]
+		g3 := gw[(o+3)*nIn : (o+4)*nIn]
+		for i, v := range in {
+			g0[i] += d0 * v
+			g1[i] += d1 * v
+			g2[i] += d2 * v
+			g3[i] += d3 * v
+		}
+	}
+	for ; o < len(delta); o++ {
+		d := delta[o]
+		gb[o] += d
+		row := gw[o*nIn : (o+1)*nIn]
+		for i, v := range in {
+			row[i] += d * v
+		}
+	}
+}
+
+// backprop sets prev[i] = Σ_o delta[o]·w[o][i] (w row-major,
+// len(delta) x len(prev)), summing from zero over o in ascending order —
+// four rows per sweep over prev, each term added separately, so the sum is
+// bit-identical to adding one row at a time.
+func backprop(prev, w, delta []float64) {
+	nIn := len(prev)
+	clear(prev)
+	o := 0
+	for ; o+4 <= len(delta); o += 4 {
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
+		r0 := w[o*nIn : (o+1)*nIn]
+		r1 := w[(o+1)*nIn : (o+2)*nIn]
+		r2 := w[(o+2)*nIn : (o+3)*nIn]
+		r3 := w[(o+3)*nIn : (o+4)*nIn]
+		for i, p := range prev {
+			p += d0 * r0[i]
+			p += d1 * r1[i]
+			p += d2 * r2[i]
+			p += d3 * r3[i]
+			prev[i] = p
+		}
+	}
+	for ; o < len(delta); o++ {
+		d := delta[o]
+		row := w[o*nIn : (o+1)*nIn]
+		for i := range prev {
+			prev[i] += d * row[i]
+		}
 	}
 }
 

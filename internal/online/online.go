@@ -97,7 +97,11 @@ type Config struct {
 	ShadowSequences int // eval sequences per shadow arm (default 8)
 	ShadowSeqLen    int // jobs per eval sequence, clamped (default 64)
 
-	Workers int   // rollout/eval parallelism (0 = one per CPU)
+	// Workers is the retrain and shadow-eval fan-out (default 1). The loop
+	// shares its process with /v1/inspect, so by default it keeps to one
+	// core and leaves the rest to serving; rollouts and evaluation are
+	// bit-identical at any count, so this changes no candidate model.
+	Workers int
 	Seed    int64 // base seed; each cycle derives its own streams
 
 	// PromotedDir, when set, persists every promoted candidate as a full
@@ -149,6 +153,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShadowSeqLen <= 0 {
 		c.ShadowSeqLen = 64
+	}
+	if c.Workers <= 0 {
+		c.Workers = 1
 	}
 	if c.PromotedKeep <= 0 {
 		c.PromotedKeep = 4

@@ -226,18 +226,25 @@ type PPO struct {
 	valOpt *nn.Adam
 	polG   *nn.Grads
 	valG   *nn.Grads
+
+	// concurrent runs the value pass on its own goroutine beside the
+	// policy pass (see Update).
+	concurrent bool
 }
 
-// NewPPO creates the optimizer for agent.
-func NewPPO(agent *Agent, cfg PPOConfig) *PPO {
+// NewPPO creates the optimizer for agent. workers is the trainer's
+// fan-out: with 2 or more, and the critic on, Update runs the policy and
+// value passes on two goroutines. Results are bit-identical at any count.
+func NewPPO(agent *Agent, cfg PPOConfig, workers int) *PPO {
 	cfg = cfg.withDefaults()
 	return &PPO{
-		cfg:    cfg,
-		agent:  agent,
-		polOpt: nn.NewAdam(agent.Policy, cfg.LR),
-		valOpt: nn.NewAdam(agent.Value, cfg.LR),
-		polG:   nn.NewGrads(agent.Policy),
-		valG:   nn.NewGrads(agent.Value),
+		cfg:        cfg,
+		agent:      agent,
+		polOpt:     nn.NewAdam(agent.Policy, cfg.LR),
+		valOpt:     nn.NewAdam(agent.Value, cfg.LR),
+		polG:       nn.NewGrads(agent.Policy),
+		valG:       nn.NewGrads(agent.Value),
+		concurrent: workers >= 2 && !cfg.NoCritic,
 	}
 }
 
@@ -333,8 +340,19 @@ func (p *PPO) Update(batch []Trajectory) (UpdateStats, error) {
 		flat[i].adv = (flat[i].adv - mean) / std
 	}
 
+	// The two passes touch disjoint state — Policy, polG and polOpt versus
+	// Value, valG and valOpt — and only read flat, whose advantages already
+	// came from the pre-update critic. So the value pass can run beside the
+	// policy pass and every bit comes out as in the serial order.
+	valueLoss := make(chan float64, 1)
+	if p.concurrent {
+		go func() { valueLoss <- p.updateValue(flat) }()
+	}
 	stats.PolicyIters, stats.ApproxKL, stats.Entropy, stats.PolicyLoss = p.updatePolicy(flat)
-	if !p.cfg.NoCritic {
+	switch {
+	case p.concurrent:
+		stats.ValueLoss = <-valueLoss
+	case !p.cfg.NoCritic:
 		stats.ValueLoss = p.updateValue(flat)
 	}
 	return stats, nil

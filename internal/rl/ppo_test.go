@@ -64,7 +64,7 @@ func TestGreedyMatchesArgmax(t *testing.T) {
 func TestUpdateValidatesObsSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewAgent(rng, 3, []int{4}, 2)
-	ppo := NewPPO(a, PPOConfig{})
+	ppo := NewPPO(a, PPOConfig{}, 1)
 	_, err := ppo.Update([]Trajectory{{
 		Steps:  []Step{{Obs: []float64{1, 2}, Action: 0, LogP: -0.7}},
 		Reward: 1,
@@ -77,7 +77,7 @@ func TestUpdateValidatesObsSize(t *testing.T) {
 func TestUpdateEmptyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewAgent(rng, 3, []int{4}, 2)
-	ppo := NewPPO(a, PPOConfig{})
+	ppo := NewPPO(a, PPOConfig{}, 1)
 	st, err := ppo.Update(nil)
 	if err != nil || st.Steps != 0 {
 		t.Errorf("empty batch: %+v, %v", st, err)
@@ -114,7 +114,7 @@ func banditBatch(a *Agent, rng *rand.Rand, trajs, steps int) []Trajectory {
 func TestPPOLearnsContextualBandit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := NewAgent(rng, 1, []int{16, 8}, 2)
-	ppo := NewPPO(a, PPOConfig{LR: 3e-3})
+	ppo := NewPPO(a, PPOConfig{LR: 3e-3}, 1)
 	var last UpdateStats
 	for epoch := 0; epoch < 60; epoch++ {
 		batch := banditBatch(a, rng, 16, 32)
@@ -150,7 +150,7 @@ func TestCriticLearnsBaseline(t *testing.T) {
 	// to it.
 	rng := rand.New(rand.NewSource(8))
 	a := NewAgent(rng, 1, []int{8}, 2)
-	ppo := NewPPO(a, PPOConfig{LR: 5e-3})
+	ppo := NewPPO(a, PPOConfig{LR: 5e-3}, 1)
 	for epoch := 0; epoch < 40; epoch++ {
 		var batch []Trajectory
 		for i := 0; i < 8; i++ {
@@ -178,7 +178,7 @@ func TestKLEarlyStopEngages(t *testing.T) {
 	a := NewAgent(rng, 1, []int{8}, 2)
 	// Huge LR forces big policy shifts; with a tight KL target, iterations
 	// must stop well before the configured maximum.
-	ppo := NewPPO(a, PPOConfig{LR: 0.1, PolicyIters: 50, TargetKL: 1e-4})
+	ppo := NewPPO(a, PPOConfig{LR: 0.1, PolicyIters: 50, TargetKL: 1e-4}, 1)
 	batch := banditBatch(a, rng, 8, 16)
 	st, err := ppo.Update(batch)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestKLEarlyStopEngages(t *testing.T) {
 func TestUpdateStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := NewAgent(rng, 1, []int{8}, 2)
-	ppo := NewPPO(a, PPOConfig{})
+	ppo := NewPPO(a, PPOConfig{}, 1)
 	batch := banditBatch(a, rng, 4, 8)
 	st, err := ppo.Update(batch)
 	if err != nil {
