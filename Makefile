@@ -245,6 +245,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFTrace$$' -fuzztime $(FUZZTIME) ./internal/explain/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzInspectBody$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInspectRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzSimulateBody$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePeerPayload$$' -fuzztime $(FUZZTIME) ./internal/dist/
 
 verify: build vet fmt-check race test

@@ -60,9 +60,10 @@ func waveState(req *InspectRequest) *sim.State {
 }
 
 // TestInspectEquivScalarHTTP pins byte-identical responses at the HTTP
-// boundary: sequential requests against the batched handler (every wave
-// has size 1) must produce exactly the JSON bodies a scalar reference
-// inspector predicts.
+// boundary: sequential requests through the handler (one Explain per
+// decision under the decision lock) must produce exactly the JSON bodies,
+// as encoding/json writes them, that a scalar reference inspector
+// predicts.
 func TestInspectEquivScalarHTTP(t *testing.T) {
 	h := NewHandler(equivInspector(11, core.ManualFeatures))
 	defer h.Close()
@@ -91,11 +92,11 @@ func TestInspectEquivScalarHTTP(t *testing.T) {
 // TestReloadMetaTearRegression reloads across feature modes (8-feature
 // manual vs 5-feature compacted) while clients hammer /v1/inspect, then
 // checks the explain JSONL sink: every decision line must decode against
-// the most recent preceding header. Before swaps were serialized through
-// the collector, Swap updated the recorder meta after publishing the
-// model, so a concurrent decision could land an 8-feature record under a
-// 5-feature header (and vice versa). Run under -race by the Makefile race
-// target.
+// the most recent preceding header. Before swaps were serialized with
+// decisions (today both run under the decision lock), Swap updated the
+// recorder meta after publishing the model, so a concurrent decision could
+// land an 8-feature record under a 5-feature header (and vice versa). Run
+// under -race by the Makefile race target.
 func TestReloadMetaTearRegression(t *testing.T) {
 	manual := equivInspector(1, core.ManualFeatures)
 	compact := equivInspector(2, core.CompactedFeatures)

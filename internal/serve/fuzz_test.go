@@ -70,3 +70,43 @@ func FuzzInspectBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSimulateBody drives arbitrary bodies through the /v1/simulate
+// handler. Every body must answer 200 or 400 without panicking, and none
+// may change the served state: a simulation runs on a clone of the model.
+func FuzzSimulateBody(f *testing.F) {
+	add := func(mut func(*SimulateRequest)) {
+		req := validSimRequest()
+		mut(&req)
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, mode := range []string{"", "off", "greedy", "stochastic", "sideways"} {
+		add(func(r *SimulateRequest) { r.Inspector = mode })
+	}
+	add(func(r *SimulateRequest) { r.Conservative = true; r.Seed = 7 })
+	add(func(r *SimulateRequest) { r.Backfill = false; r.Policy = "F1" })
+	add(func(r *SimulateRequest) { r.Policy = "NOPE" })
+	add(func(r *SimulateRequest) { r.MaxProcs = 0 })
+	add(func(r *SimulateRequest) { r.Jobs = nil })
+	add(func(r *SimulateRequest) { r.Jobs[0].Procs = 65 })
+	add(func(r *SimulateRequest) { r.Jobs[1].Submit = -1 })
+	add(func(r *SimulateRequest) { r.Jobs[0], r.Jobs[4] = r.Jobs[4], r.Jobs[0] })
+	f.Add([]byte("{not json"))
+
+	h := testHandler(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := observeServed(h)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(body)))
+		if after := observeServed(h); after != before {
+			t.Fatalf("simulate changed served state: before %+v after %+v", before, after)
+		}
+		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}

@@ -382,7 +382,7 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InspectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeInspectRequest(r.Body, &req); err != nil {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -420,7 +420,7 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 	reject := action == core.ActionReject
 	h.recordDecision(&req, feat, logits, probs, action, snap.maxRej, reject)
 	h.decideMu.Unlock()
-	writeJSON(w, InspectResponse{Reject: reject, RejectProb: probs[core.ActionReject]})
+	writeInspectResponse(w, InspectResponse{Reject: reject, RejectProb: probs[core.ActionReject]})
 }
 
 // simulate runs a full what-if schedule over the submitted job sequence by
